@@ -72,9 +72,9 @@ int main() {
   bench::note(
       "\nEvery policy races the identical network, arrival stream, and "
       "churn trace within a scenario; only the three plugin decision "
-      "points differ.  'default' reproduces the pre-refactor scheduler "
-      "bit for bit (tests/test_policy.cpp), so any cell an alternative "
-      "wins is a real behavioral trade, not noise.");
+      "points differ.  'default' is the paper's scheduler (what an unset "
+      "policy means), so any cell an alternative wins is a real "
+      "behavioral trade, not noise.");
 
   if (const char* path = std::getenv("SPARCLE_BENCH_JSON")) {
     std::ofstream out(path);

@@ -53,10 +53,10 @@ struct FuzzOptions {
   /// suite's PF-optimality re-solve is the oracle).
   bool alternate_pf_warm{true};
   /// Scheduling-policy plugin (policy::make_policy name) installed for
-  /// the scheduler-pipeline phase of run_scenario_checks; "" = legacy
-  /// hard-coded rules (no plugin).  The optimality oracles always run
-  /// the default algorithm — invariants must hold under ANY policy, but
-  /// optimality claims are the default's alone.
+  /// the scheduler-pipeline phase of run_scenario_checks; "" = the
+  /// default policy (no plugin installed).  The optimality oracles always
+  /// run the default algorithm — invariants must hold under ANY policy,
+  /// but optimality claims are the default's alone.
   std::string policy{};
   /// Policy axis: when non-empty, fuzz_scheduler draws one of these
   /// names per iteration (from a stream independent of the scenario
@@ -121,7 +121,7 @@ std::string save_repro(const workload::ScenarioFile& scenario,
 struct FuzzFailure {
   std::size_t iteration{0};
   std::uint64_t scenario_seed{0};
-  std::string policy;  ///< plugin active at failure ("" = legacy rules)
+  std::string policy;  ///< plugin active at failure ("" = default)
   std::string phase;
   CheckReport report;
   workload::ScenarioFile scenario;  ///< as generated

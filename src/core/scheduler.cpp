@@ -671,37 +671,23 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   }
   competing_valid_ = false;  // shed BE paths shrank eq. (6) footprints
 
-  // Pass 2: restore in policy order (decision point 3; the default — GR
-  // first, largest guarantee first, then BE by descending priority — is
-  // the pre-refactor hard-coded rule).  Ties break on placed order via
-  // stable_sort so a replayed trace reproduces the same state bit for bit.
+  // Pass 2: restore in policy order (decision point 3; the default is GR
+  // first, largest guarantee first, then BE by descending priority).  Ties
+  // break on placed order via stable_sort so a replayed trace reproduces
+  // the same state bit for bit.
   std::vector<std::size_t> order(affected.begin(), affected.end());
-  if (options_.policy != nullptr) {
-    std::vector<policy::RepairCandidate> views(placed_.size());
-    for (std::size_t pi : order) {
-      const PlacedApp& pa = placed_[pi];
-      views[pi] = {&pa.app, pa.allocated_rate, pa.paths.size(),
-                   app_size(pa.app)};
-    }
-    const policy::SchedulingPolicy& pol = *options_.policy;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return pol.repair_before(views[a], views[b]);
-                     });
-  } else {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const PlacedApp& pa = placed_[a];
-                       const PlacedApp& pb = placed_[b];
-                       const bool ga =
-                           pa.app.qoe.cls == QoeClass::kGuaranteedRate;
-                       const bool gb =
-                           pb.app.qoe.cls == QoeClass::kGuaranteedRate;
-                       if (ga != gb) return ga;
-                       if (ga) return pa.app.qoe.min_rate > pb.app.qoe.min_rate;
-                       return pa.app.qoe.priority > pb.app.qoe.priority;
-                     });
+  std::vector<policy::RepairCandidate> views(placed_.size());
+  for (std::size_t pi : order) {
+    const PlacedApp& pa = placed_[pi];
+    views[pi] = {&pa.app, pa.allocated_rate, pa.paths.size(),
+                 app_size(pa.app)};
   }
+  const policy::SchedulingPolicy& pol =
+      policy::or_default(options_.policy.get());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return pol.repair_before(views[a], views[b]);
+                   });
 
   for (std::size_t pi : order) {
     PlacedApp& pa = placed_[pi];

@@ -104,9 +104,8 @@ struct SchedulerOptions {
   /// Scheduling-policy plugin (docs/policies.md): decision point 2
   /// (candidate ranking — forwarded into the default assigner's options
   /// when assigner_options.policy is unset) and decision point 3 (the
-  /// restore order of repair()).  nullptr reproduces the pre-refactor
-  /// hard-coded rules bit for bit, and so does policy::DefaultPolicy
-  /// (tests/test_policy.cpp).  Shared ownership: copies of these options
+  /// restore order of repair()).  Unset (nullptr) means
+  /// policy::DefaultPolicy.  Shared ownership: copies of these options
   /// keep the plugin alive for the scheduler's lifetime.
   std::shared_ptr<const policy::SchedulingPolicy> policy{};
 };

@@ -139,67 +139,49 @@ AssignmentResult SparcleAssigner::assign(
   // evaluation round; hosts are still chosen against current loads.
   std::vector<CtId> static_order;
   bool order_frozen = false;
+  const bool most_constrained =
+      options_.ranking == Ranking::kMostConstrainedFirst;
+  const policy::SchedulingPolicy& pol = policy::or_default(options_.policy);
+  std::vector<policy::CtCandidate> candidates;
+  std::vector<NcpId> hosts(total, kInvalidId);
 
   while (engine.placed_count() < total) {
     ++counters.rounds;
     CtId chosen = kInvalidId;
     NcpId chosen_host = kInvalidId;
 
-    const bool most_constrained =
-        options_.ranking == Ranking::kMostConstrainedFirst;
-    if (options_.dynamic_ranking || !order_frozen) {
-      // Lines 7-16: evaluate every unplaced CT's best host, then pick a CT
-      // by its best-host γ (see SparcleAssignerOptions on the direction).
+    if (options_.dynamic_ranking) {
+      // Lines 7-16: evaluate every unplaced CT's best host, then let the
+      // policy (decision point 2) pick among the candidates in CT order.
       refresh_cache();
-      if (options_.policy != nullptr && options_.dynamic_ranking) {
-        // Policy plugin (decision point 2): hand the round's candidates
-        // over in CT order.  policy::DefaultPolicy reproduces the inline
-        // rule below bit for bit (tests/test_policy.cpp).
-        std::vector<policy::CtCandidate> candidates;
-        std::vector<NcpId> hosts(total, kInvalidId);
-        for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-          if (engine.placed(i))
-            hosts[i] = engine.host(i);
-          else
-            candidates.push_back({i, cache[i].host, cache[i].gamma});
-        }
-        policy::SelectContext ctx;
-        ctx.net = problem.net;
-        ctx.graph = problem.graph;
-        ctx.most_constrained_pass = most_constrained;
-        ctx.ct_host = &hosts;
-        const std::size_t pick = options_.policy->select_ct(ctx, candidates);
-        if (pick < candidates.size()) {
-          chosen = candidates[pick].ct;
-          chosen_host = candidates[pick].host;
-        }
-      } else {
-      double chosen_gamma = most_constrained ? kInf : -kInf;
-      std::vector<std::pair<double, CtId>> ranked;
+      candidates.clear();
       for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-        if (engine.placed(i)) continue;
-        const double gi = cache[i].gamma;
-        ranked.emplace_back(gi, i);
-        const bool better =
-            most_constrained ? gi < chosen_gamma : gi > chosen_gamma;
-        if (better) {
-          chosen_gamma = gi;
-          chosen = i;
-          chosen_host = cache[i].host;
-        }
+        if (engine.placed(i))
+          hosts[i] = engine.host(i);
+        else
+          candidates.push_back({i, cache[i].host, cache[i].gamma});
       }
-      if (!options_.dynamic_ranking) {
+      policy::SelectContext ctx;
+      ctx.net = problem.net;
+      ctx.graph = problem.graph;
+      ctx.most_constrained_pass = most_constrained;
+      ctx.ct_host = &hosts;
+      const std::size_t pick = pol.select_ct(ctx, candidates);
+      if (pick < candidates.size()) {
+        chosen = candidates[pick].ct;
+        chosen_host = candidates[pick].host;
+      }
+    } else {
+      if (!order_frozen) {
+        refresh_cache();
+        std::vector<std::pair<double, CtId>> ranked;
+        for (CtId i = 0; i < static_cast<CtId>(total); ++i)
+          if (!engine.placed(i)) ranked.emplace_back(cache[i].gamma, i);
         std::sort(ranked.begin(), ranked.end());
-        if (!most_constrained)
-          std::reverse(ranked.begin(), ranked.end());
+        if (!most_constrained) std::reverse(ranked.begin(), ranked.end());
         for (const auto& [g, i] : ranked) static_order.push_back(i);
         order_frozen = true;
       }
-      }
-    }
-
-    if (!options_.dynamic_ranking) {
-      chosen = kInvalidId;
       for (CtId i : static_order) {
         if (!engine.placed(i)) {
           chosen = i;

@@ -24,7 +24,7 @@ double gr_shortfall(const RepairCandidate& c) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Base rules: the pre-refactor hard-coded behavior, verbatim.
+// Base rules: the paper's scheduler (DefaultPolicy overrides nothing).
 
 std::size_t SchedulingPolicy::pick_next(
     const std::vector<PendingApp>& pending) const {
@@ -35,9 +35,10 @@ std::size_t SchedulingPolicy::pick_next(
 std::size_t SchedulingPolicy::select_ct(
     const SelectContext& ctx, const std::vector<CtCandidate>& candidates)
     const {
-  // Mirrors the historical inline loop of SparcleAssigner::assign():
-  // initialize against ±infinity and take the first *strictly* better
-  // candidate, so ties keep the lowest CT id.
+  // Initialize against ±infinity and take the first *strictly* better
+  // candidate, so ties keep the lowest CT id.  When no candidate beats
+  // the sentinel (every γ = +infinity in a most-constrained pass) the
+  // first candidate is committed.
   double best = ctx.most_constrained_pass ? kInf : -kInf;
   std::size_t chosen = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -53,7 +54,6 @@ std::size_t SchedulingPolicy::select_ct(
 
 bool SchedulingPolicy::repair_before(const RepairCandidate& a,
                                      const RepairCandidate& b) const {
-  // Mirrors the historical stable_sort comparator of Scheduler::repair():
   // GR before BE; GR by descending guarantee; BE by descending priority.
   const bool ga = is_gr(a.app);
   const bool gb = is_gr(b.app);
@@ -158,6 +158,11 @@ std::size_t EnergyAwarePolicy::select_ct(
 
 // ---------------------------------------------------------------------------
 // Registry.
+
+const SchedulingPolicy& or_default(const SchedulingPolicy* policy) {
+  static const DefaultPolicy kDefault;
+  return policy != nullptr ? *policy : kDefault;
+}
 
 std::vector<std::string> policy_names() {
   return {"default", "sjf", "deadline", "energy"};

@@ -31,9 +31,9 @@
 /// Every policy must be deterministic: identical inputs produce identical
 /// choices (ties break on the lowest index), so soak failures replay from
 /// a seed and the property tests can demand bit-identical placements.
-/// The default policy is bit-identical to the pre-refactor hard-coded
-/// rules at every decision point (tests/test_policy.cpp holds the
-/// equivalence corpus).
+/// Each decision point has exactly one implementation: the consulted
+/// policy.  A policy option left unset (nullptr) stands for DefaultPolicy
+/// (see or_default below).
 
 namespace sparcle::policy {
 
@@ -79,8 +79,8 @@ struct RepairCandidate {
 };
 
 /// The swappable scheduling policy.  The base-class implementations ARE
-/// the pre-refactor hard-coded rules, so `class MyPolicy : public
-/// SchedulingPolicy` overrides only the decision points it cares about.
+/// the default rules, so `class MyPolicy : public SchedulingPolicy`
+/// overrides only the decision points it cares about.
 /// Implementations must be deterministic, stateless across calls (they
 /// may be consulted concurrently by parallel evaluation rounds), and must
 /// return in-range indices.
@@ -112,13 +112,17 @@ class SchedulingPolicy {
                              const RepairCandidate& b) const;
 };
 
-/// "default" — the pre-refactor scheduler verbatim: FIFO admission, the
-/// paper's dynamic-ranking greedy commit rule, GR-first largest-guarantee
-/// repair.  Bit-identical to running with no policy installed.
+/// "default" — FIFO admission, the paper's dynamic-ranking greedy commit
+/// rule, GR-first largest-guarantee repair.  This is the policy an unset
+/// policy option means.
 class DefaultPolicy : public SchedulingPolicy {
  public:
   std::string name() const override { return "default"; }
 };
+
+/// The policy a (possibly unset) plugin option stands for: `*policy`, or a
+/// shared DefaultPolicy instance when `policy` is nullptr.
+const SchedulingPolicy& or_default(const SchedulingPolicy* policy);
 
 /// "sjf" — shortest-job-first: admits the smallest queued application
 /// (Σ CT computation requirement) first, and repairs cheap applications

@@ -210,8 +210,7 @@ std::future<ServiceResult> SchedulerService::enqueue(
     std::chrono::steady_clock::time_point deadline) {
   req.enqueued = std::chrono::steady_clock::now();
   req.deadline = deadline;
-  if (policy_ != nullptr && req.verb == Request::Verb::kSubmit &&
-      req.app.graph != nullptr) {
+  if (req.verb == Request::Verb::kSubmit && req.app.graph != nullptr) {
     // Feature extraction for SchedulingPolicy::pick_next, outside the
     // queue lock (mirrors the soak engine's PendingApp fields).
     const ResourceVector need = req.app.graph->total_ct_requirement();
@@ -400,14 +399,14 @@ void SchedulerService::scheduling_loop() {
       });
       if (queued_unlocked() == 0 && stopping_) return;
       // Pop up to max_batch requests, higher classes first.  Within a
-      // class: FIFO, unless a scheduling policy is installed — then the
-      // policy's pick_next (decision point 1, docs/policies.md) chooses
-      // among the queued submits of that class.  Control requests
-      // (removes, apply fns) always stay FIFO, and DefaultPolicy returns
-      // index 0, reproducing the classic FIFO dequeue bit for bit.
+      // submit class the policy's pick_next (decision point 1,
+      // docs/policies.md) chooses among the queued submits; DefaultPolicy
+      // returns index 0, i.e. FIFO.  Control requests (removes, apply
+      // fns) always stay FIFO.
+      const policy::SchedulingPolicy& pol = policy::or_default(policy_.get());
       for (std::size_t cls = 0; cls < kClasses; ++cls) {
         auto& queue = queues_[cls];
-        if (policy_ == nullptr || cls == kControl) {
+        if (cls == kControl) {
           while (batch.size() < options_.max_batch && !queue.empty()) {
             batch.push_back(std::move(queue.front()));
             queue.pop_front();
@@ -432,7 +431,7 @@ void SchedulerService::scheduling_loop() {
             p.bits = req.bits;
             pending.push_back(p);
           }
-          std::size_t pick = policy_->pick_next(pending);
+          std::size_t pick = pol.pick_next(pending);
           if (pick >= queue.size()) pick = 0;  // out-of-range: fall back FIFO
           batch.push_back(std::move(queue[pick]));
           queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));

@@ -400,8 +400,8 @@ class SchedulerService : public PlacementService {
   Scheduler scheduler_;       ///< touched only by the scheduling thread
   ServiceOptions options_;
   /// Admission-ordering policy (decision point 1, docs/policies.md),
-  /// shared from SchedulerOptions::policy.  nullptr (and DefaultPolicy)
-  /// reproduce the classic 3-class FIFO dequeue bit for bit.
+  /// shared from SchedulerOptions::policy.  Unset (nullptr) means
+  /// DefaultPolicy: FIFO within each of the three queue classes.
   std::shared_ptr<const policy::SchedulingPolicy> policy_;
   /// Service birth instant: the epoch pick_next's arrival_time/deadline
   /// seconds are measured from.

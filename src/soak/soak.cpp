@@ -99,58 +99,159 @@ bool is_gr(const Application& app) {
   return app.qoe.cls == QoeClass::kGuaranteedRate;
 }
 
-void record_epoch(const Scheduler& scheduler, double sim_time,
-                  std::size_t arrivals, std::size_t admitted,
-                  SoakResult& result) {
-  SoakEpoch e;
-  e.sim_time = sim_time;
-  e.arrivals = arrivals;
-  e.admitted = admitted;
-  e.placed = scheduler.placed().size();
-  for (const PlacedApp& pa : scheduler.placed())
-    (is_gr(pa.app) ? e.gr_rate : e.be_rate) += pa.allocated_rate;
-  e.rss_mb = process_rss_mb();
-  result.epochs.push_back(e);
-}
+// ---------------------------------------------------------------------
+// Placement backends.  The event loop below is written once; a backend
+// owns the system under test and answers what differs between a single
+// Scheduler and a federated site: submit (plus the digest bytes of an
+// admitted app), remove, a churn event, placed totals, the invariant
+// check, and the modeled power of the final placement.
 
-void check_invariants(const Scheduler& scheduler, double sim_time,
-                      const SoakOptions& options, SoakResult& result) {
-  const check::CheckReport report = check::check_scheduler_state(scheduler);
-  if (report.ok()) return;
-  std::ostringstream msg;
-  msg << "soak invariant failure: policy=" << options.policy
-      << " scenario=" << workload::to_string(options.arrivals.pattern)
-      << " seed=" << options.seed << " sim_time=" << sim_time
-      << " (rerun with SPARCLE_TEST_SEED=" << options.seed << ")\n"
-      << report.to_string();
-  result.violations.push_back(msg.str());
-}
+/// One raw Scheduler.  Admissions are fingerprinted by their committed
+/// placement (per-path CT hosts) and allocated rate.
+class SchedulerBackend {
+ public:
+  SchedulerBackend(const Network& net, const SchedulerOptions& options)
+      : net_(net), scheduler_(net, options) {}
+
+  bool submit(const Application& app) {
+    return scheduler_.submit(app).admitted;
+  }
+  void fingerprint(const std::string& name, Digest& digest) const {
+    for (const PlacedApp& pa : scheduler_.placed()) {
+      if (pa.app.name != name) continue;
+      for (const PathInfo& path : pa.paths)
+        for (CtId i = 0; i < static_cast<CtId>(pa.app.graph->ct_count());
+             ++i)
+          digest.u64(
+              static_cast<std::uint64_t>(path.placement.ct_host(i) + 1));
+      digest.f64(pa.allocated_rate);
+      return;
+    }
+  }
+  bool remove(const std::string& name) { return scheduler_.remove(name); }
+  void churn(const sim::ChurnEvent& ev) {
+    if (ev.fail)
+      scheduler_.mark_failed(ev.element);
+    else
+      scheduler_.mark_recovered(ev.element);
+    scheduler_.repair(ev.element);
+  }
+  void totals(SoakEpoch& e) const {
+    e.placed = scheduler_.placed().size();
+    for (const PlacedApp& pa : scheduler_.placed())
+      (is_gr(pa.app) ? e.gr_rate : e.be_rate) += pa.allocated_rate;
+  }
+  /// Empty when every invariant holds, else the report.
+  std::string check() {
+    const check::CheckReport report = check::check_scheduler_state(scheduler_);
+    return report.ok() ? std::string() : report.to_string();
+  }
+  double energy_watts() const {
+    const EnergyModel energy(net_);
+    double watts = 0.0;
+    for (const PlacedApp& pa : scheduler_.placed())
+      for (std::size_t p = 0; p < pa.paths.size(); ++p) {
+        const double rate =
+            p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
+        watts += energy.total_power(*pa.app.graph, pa.paths[p].placement,
+                                    rate);
+      }
+    return watts;
+  }
+
+ private:
+  const Network& net_;
+  Scheduler scheduler_;
+};
+
+/// A federation::FederatedService over regional shards: shard-local
+/// arrivals run the stock per-shard pipeline, cross-shard ones two-phase
+/// reserve/commit.  Admissions are fingerprinted by (rate, path count) —
+/// per-CT hosts live inside the shards and are covered by the per-shard
+/// checker — so federated digests are comparable only to federated ones.
+/// The invariant check is the federation conservation check, which runs
+/// the per-shard battery on every shard.
+class FederatedBackend {
+ public:
+  FederatedBackend(const Network& net,
+                   const federation::FederationOptions& options)
+      : net_(net), fed_(net, options) {}
+
+  bool submit(const Application& app) {
+    last_ = fed_.submit(app).get();
+    return last_.status == service::ServiceResult::Status::kAdmitted;
+  }
+  void fingerprint(const std::string& /*name*/, Digest& digest) const {
+    digest.f64(last_.rate);
+    digest.u64(last_.paths);
+  }
+  bool remove(const std::string& name) {
+    return fed_.remove(name).get().status ==
+           service::ServiceResult::Status::kRemoved;
+  }
+  void churn(const sim::ChurnEvent& ev) {
+    if (ev.fail)
+      fed_.mark_failed(ev.element);
+    else
+      fed_.mark_recovered(ev.element);
+    fed_.repair(ev.element);
+  }
+  void totals(SoakEpoch& e) const {
+    const std::shared_ptr<const service::ServiceSnapshot> snap =
+        fed_.snapshot();
+    e.placed = snap->apps.size();
+    e.gr_rate = snap->total_gr_rate;
+    e.be_rate = snap->total_be_rate;
+  }
+  std::string check() {
+    fed_.drain();
+    const federation::ConservationReport report =
+        federation::check_federation(fed_);
+    return report.ok() ? std::string() : report.to_string();
+  }
+  /// Shard-local placements are priced against each shard's sub-network,
+  /// committed cross-shard paths against the full site.
+  double energy_watts() {
+    double watts = 0.0;
+    for (std::size_t s = 0; s < fed_.shard_count(); ++s) {
+      const EnergyModel energy(fed_.plan().shards[s].net);
+      fed_.shard(s).inspect([&](const Scheduler& sc) {
+        for (const PlacedApp& pa : sc.placed())
+          for (std::size_t p = 0; p < pa.paths.size(); ++p) {
+            const double rate =
+                p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
+            watts += energy.total_power(*pa.app.graph, pa.paths[p].placement,
+                                        rate);
+          }
+      });
+    }
+    const EnergyModel energy(net_);
+    for (const auto& [name, ca] : fed_.cross_apps())
+      for (std::size_t p = 0; p < ca.paths.size(); ++p) {
+        const double rate =
+            p < ca.path_rates.size() ? ca.path_rates[p] : 0.0;
+        watts += energy.total_power(*ca.app.graph, ca.paths[p].placement,
+                                    rate);
+      }
+    return watts;
+  }
+
+ private:
+  const Network& net_;
+  federation::FederatedService fed_;
+  service::ServiceResult last_;  ///< verdict of the latest submit
+};
 
 // ---------------------------------------------------------------------
-// Federated soak: the same event loop, timebase, queueing, and drift
-// windows as run_soak, but the backend is a federation::FederatedService
-// (SoakOptions::federated_shards regional shards) instead of one raw
-// Scheduler.  Invariant epochs run the federation conservation check,
-// which itself runs the per-shard invariant battery on every shard.
-// The decision digest fingerprints (name, verdict, rate, path count) —
-// per-CT hosts live inside the shards and are already covered by the
-// per-shard checker — so federated digests are comparable only to
-// federated digests.
-SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
-  using service::ServiceResult;
-
+// The soak event loop, over either backend.
+template <typename Backend>
+SoakResult run_event_loop(const Network& net, const SoakOptions& options,
+                          const policy::SchedulingPolicy& pol,
+                          Backend& backend) {
   SoakResult result;
   result.policy = options.policy;
   result.scenario = workload::to_string(options.arrivals.pattern);
   result.seed = options.seed;
-
-  const std::shared_ptr<const policy::SchedulingPolicy> pol =
-      policy::make_policy(options.policy);
-  federation::FederationOptions fed_options;
-  fed_options.shards = options.federated_shards;
-  fed_options.scheduler = options.scheduler;
-  fed_options.scheduler.policy = pol;
-  federation::FederatedService fed(net, fed_options);
 
   workload::ArrivalGenerator gen(net, options.arrivals,
                                  options.seed ^ 0xa55a11);
@@ -170,41 +271,43 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
       std::max<std::size_t>(2, options.stats_epochs);
   const std::size_t epoch_arrivals =
       std::max<std::size_t>(1, options.arrivals.arrivals / stats_epochs);
+  // Which stats epochs also run the (expensive) invariant battery.
   const std::size_t check_every =
       options.invariant_epochs == 0
           ? 0
           : std::max<std::size_t>(1, stats_epochs / options.invariant_epochs);
 
+  // Admission-rate drift windows: the first quarter of the stream is
+  // warmup (the session population ramps to steady state), so the gate
+  // compares arrivals [N/4, 5N/8) against [5N/8, N).
   const std::size_t total_arrivals = options.arrivals.arrivals;
   const std::size_t warm_lo = total_arrivals / 4;
   const std::size_t warm_mid = total_arrivals * 5 / 8;
   std::size_t admitted_window_a = 0, admitted_window_b = 0;
 
-  const auto record_fed_epoch = [&](double sim_time) {
+  const auto record_epoch = [&](double sim_time) {
     SoakEpoch e;
     e.sim_time = sim_time;
     e.arrivals = result.arrivals;
     e.admitted = result.admitted;
-    const std::shared_ptr<const service::ServiceSnapshot> snap =
-        fed.snapshot();
-    e.placed = snap->apps.size();
-    e.gr_rate = snap->total_gr_rate;
-    e.be_rate = snap->total_be_rate;
+    backend.totals(e);
     e.rss_mb = process_rss_mb();
     result.epochs.push_back(e);
   };
-  const auto check_fed = [&](double sim_time) {
-    fed.drain();
-    const federation::ConservationReport report =
-        federation::check_federation(fed);
-    if (report.ok()) return;
+  const auto check_invariants = [&](double sim_time) {
+    const std::string report = backend.check();
+    if (report.empty()) return;
     std::ostringstream msg;
-    msg << "federated soak invariant failure: shards="
-        << options.federated_shards << " policy=" << options.policy
+    if (options.federated_shards > 0)
+      msg << "federated soak invariant failure: shards="
+          << options.federated_shards << ' ';
+    else
+      msg << "soak invariant failure: ";
+    msg << "policy=" << options.policy
         << " scenario=" << workload::to_string(options.arrivals.pattern)
         << " seed=" << options.seed << " sim_time=" << sim_time
         << " (rerun with SPARCLE_TEST_SEED=" << options.seed << ")\n"
-        << report.to_string();
+        << report;
     result.violations.push_back(msg.str());
   };
 
@@ -215,6 +318,8 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
   bool have_arrival = gen.next(upcoming);
   std::size_t epochs_recorded = 0;
 
+  // Drains reneged entries, then admits up to the tick budget in the
+  // order the policy dictates.  Shared by ticks and the final flush.
   const auto run_tick = [&](double t) {
     for (std::size_t i = 0; i < pending.size();) {
       if (pending[i].deadline < t) {
@@ -231,19 +336,17 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
       for (const QueuedArrival& q : pending)
         views.push_back({&q.arrival.app, q.arrival.time, q.deadline, q.size,
                          q.bits});
-      std::size_t pick = pol->pick_next(views);
+      std::size_t pick = pol.pick_next(views);
       if (pick >= pending.size()) pick = 0;
       QueuedArrival q = std::move(pending[pick]);
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
 
       const auto t0 = std::chrono::steady_clock::now();
-      const ServiceResult admission = fed.submit(q.arrival.app).get();
+      const bool admitted = backend.submit(q.arrival.app);
       const auto t1 = std::chrono::steady_clock::now();
       latency.record(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
 
-      const bool admitted =
-          admission.status == ServiceResult::Status::kAdmitted;
       digest.str(q.arrival.app.name);
       digest.u64(admitted ? 1 : 0);
       if (admitted) {
@@ -253,8 +356,8 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
         else if (result.arrivals >= warm_mid)
           ++admitted_window_b;
         if (is_gr(q.arrival.app)) ++result.gr_admitted;
-        digest.f64(admission.rate);
-        digest.u64(admission.paths);
+        // Fingerprint the committed decision, not just the verdict.
+        backend.fingerprint(q.arrival.app.name, digest);
         departures.push({t + q.arrival.lifetime, q.arrival.app.name});
       } else {
         ++result.rejected;
@@ -262,6 +365,12 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
     }
   };
 
+  // Event loop: arrivals, churn events, departures, and scheduler ticks
+  // merged in time order (ties: departure, churn, tick, arrival — frees
+  // capacity before spending it, deterministically).  The run ends once
+  // the stream is exhausted and the queue drained: sessions still open
+  // then ARE the final steady-state population the summary metrics
+  // (carried rate, energy) are computed over.
   while (have_arrival || !pending.empty()) {
     const double t_arrival = have_arrival ? upcoming.time : kInf;
     const double t_depart =
@@ -276,18 +385,12 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
     if (t_depart <= t) {
       const Departure d = departures.top();
       departures.pop();
-      if (fed.remove(d.name).get().status == ServiceResult::Status::kRemoved)
-        ++result.departed;
+      if (backend.remove(d.name)) ++result.departed;
       continue;
     }
     if (t_churn <= t) {
-      const sim::ChurnEvent& ev = churn.events[churn_at++];
-      if (ev.fail)
-        fed.mark_failed(ev.element);
-      else
-        fed.mark_recovered(ev.element);
+      backend.churn(churn.events[churn_at++]);
       ++result.churn_events;
-      fed.repair(ev.element);
       ++result.repairs;
       continue;
     }
@@ -297,6 +400,7 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
       continue;
     }
 
+    // Arrival.
     ++result.arrivals;
     if (is_gr(upcoming.app)) ++result.gr_arrivals;
     if (pending.size() >= options.queue_capacity) {
@@ -313,15 +417,17 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
 
     if (result.arrivals % epoch_arrivals == 0 &&
         epochs_recorded < stats_epochs) {
-      record_fed_epoch(now);
+      record_epoch(now);
       ++epochs_recorded;
       if (check_every != 0 && epochs_recorded % check_every == 0)
-        check_fed(now);
+        check_invariants(now);
     }
   }
-  record_fed_epoch(now);
-  if (options.invariant_epochs != 0) check_fed(now);
+  record_epoch(now);
+  if (options.invariant_epochs != 0) check_invariants(now);
 
+  // ------------------------------------------------------------------
+  // Summary metrics.
   result.admit_ratio =
       result.arrivals == 0
           ? 0.0
@@ -331,36 +437,11 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
           ? 1.0
           : static_cast<double>(result.gr_admitted) / result.gr_arrivals;
 
-  {
-    const std::shared_ptr<const service::ServiceSnapshot> snap =
-        fed.snapshot();
-    result.final_gr_rate = snap->total_gr_rate;
-    result.final_be_rate = snap->total_be_rate;
-  }
-  // Energy: shard-local placements priced against each shard's
-  // sub-network, committed cross-shard paths against the full site.
-  for (std::size_t s = 0; s < fed.shard_count(); ++s) {
-    const EnergyModel energy(fed.plan().shards[s].net);
-    fed.shard(s).inspect([&](const Scheduler& sc) {
-      for (const PlacedApp& pa : sc.placed())
-        for (std::size_t p = 0; p < pa.paths.size(); ++p) {
-          const double rate =
-              p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
-          result.energy_watts += energy.total_power(
-              *pa.app.graph, pa.paths[p].placement, rate);
-        }
-    });
-  }
-  {
-    const EnergyModel energy(net);
-    for (const auto& [name, ca] : fed.cross_apps())
-      for (std::size_t p = 0; p < ca.paths.size(); ++p) {
-        const double rate =
-            p < ca.path_rates.size() ? ca.path_rates[p] : 0.0;
-        result.energy_watts += energy.total_power(
-            *ca.app.graph, ca.paths[p].placement, rate);
-      }
-  }
+  SoakEpoch final_state;
+  backend.totals(final_state);
+  result.final_gr_rate = final_state.gr_rate;
+  result.final_be_rate = final_state.be_rate;
+  result.energy_watts = backend.energy_watts();
   const double carried = result.final_gr_rate + result.final_be_rate;
   result.energy_efficiency =
       result.energy_watts > 0 ? carried / result.energy_watts : 0.0;
@@ -368,11 +449,14 @@ SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
   result.submit_p99_us = latency.quantile(0.99);
   result.decision_digest = digest.h;
 
+  // RSS drift: warmed-up quarter epoch → last (allocator pools, memo
+  // caches and the PF warm state settle during the first quarter).
   if (result.epochs.size() >= 4) {
     const double warm = result.epochs[result.epochs.size() / 4].rss_mb;
     const double end = result.epochs.back().rss_mb;
     if (warm > 0) result.rss_drift = (end - warm) / warm;
   }
+  // Admitted-fraction drift between the two post-warmup windows.
   if (warm_mid > warm_lo && result.arrivals > warm_mid) {
     const double r1 = static_cast<double>(admitted_window_a) /
                       static_cast<double>(warm_mid - warm_lo);
@@ -415,225 +499,18 @@ SoakResult run_soak(const SoakOptions& options) {
 }
 
 SoakResult run_soak(const Network& net, const SoakOptions& options) {
-  if (options.federated_shards > 0) return run_federated_soak(net, options);
-
-  SoakResult result;
-  result.policy = options.policy;
-  result.scenario = workload::to_string(options.arrivals.pattern);
-  result.seed = options.seed;
-
-  const std::shared_ptr<const policy::SchedulingPolicy> pol =
-      policy::make_policy(options.policy);
   SchedulerOptions sched_options = options.scheduler;
-  sched_options.policy = pol;
-  Scheduler scheduler(net, sched_options);
-
-  workload::ArrivalGenerator gen(net, options.arrivals,
-                                 options.seed ^ 0xa55a11);
-  sim::ChurnTrace churn;
-  if (options.churn)
-    churn = sim::generate_burst_churn(net, options.burst,
-                                      options.arrivals.horizon,
-                                      options.seed ^ 0xc0ffee);
-
-  std::deque<QueuedArrival> pending;
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures;
-  Digest digest;
-  LatencyHistogram latency;
-
-  const std::size_t stats_epochs = std::max<std::size_t>(2, options.stats_epochs);
-  const std::size_t epoch_arrivals =
-      std::max<std::size_t>(1, options.arrivals.arrivals / stats_epochs);
-  // Which stats epochs also run the (expensive) invariant battery.
-  const std::size_t check_every =
-      options.invariant_epochs == 0
-          ? 0
-          : std::max<std::size_t>(1, stats_epochs / options.invariant_epochs);
-
-  // Admission-rate drift windows: the first quarter of the stream is
-  // warmup (the session population ramps to steady state), so the gate
-  // compares arrivals [N/4, 5N/8) against [5N/8, N).
-  const std::size_t total_arrivals = options.arrivals.arrivals;
-  const std::size_t warm_lo = total_arrivals / 4;
-  const std::size_t warm_mid = total_arrivals * 5 / 8;
-  std::size_t admitted_window_a = 0, admitted_window_b = 0;
-
-  double now = 0.0;
-  double next_tick = options.tick_seconds;
-  std::size_t churn_at = 0;
-  workload::Arrival upcoming;
-  bool have_arrival = gen.next(upcoming);
-  std::size_t epochs_recorded = 0;
-
-  // Drains reneged entries, then admits up to the tick budget in the
-  // order the policy dictates.  Shared by ticks and the final flush.
-  const auto run_tick = [&](double t) {
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].deadline < t) {
-        ++result.reneged;
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    for (std::size_t budget = options.admit_per_tick;
-         budget > 0 && !pending.empty(); --budget) {
-      std::vector<policy::PendingApp> views;
-      views.reserve(pending.size());
-      for (const QueuedArrival& q : pending)
-        views.push_back({&q.arrival.app, q.arrival.time, q.deadline, q.size,
-                         q.bits});
-      std::size_t pick = pol->pick_next(views);
-      if (pick >= pending.size()) pick = 0;
-      QueuedArrival q = std::move(pending[pick]);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const AdmissionResult admission = scheduler.submit(q.arrival.app);
-      const auto t1 = std::chrono::steady_clock::now();
-      latency.record(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-
-      digest.str(q.arrival.app.name);
-      digest.u64(admission.admitted ? 1 : 0);
-      if (admission.admitted) {
-        ++result.admitted;
-        if (result.arrivals >= warm_lo && result.arrivals < warm_mid)
-          ++admitted_window_a;
-        else if (result.arrivals >= warm_mid)
-          ++admitted_window_b;
-        if (is_gr(q.arrival.app)) ++result.gr_admitted;
-        // Fingerprint the committed placement, not just the verdict.
-        for (const PlacedApp& pa : scheduler.placed()) {
-          if (pa.app.name != q.arrival.app.name) continue;
-          for (const PathInfo& path : pa.paths)
-            for (CtId i = 0;
-                 i < static_cast<CtId>(pa.app.graph->ct_count()); ++i)
-              digest.u64(static_cast<std::uint64_t>(
-                  path.placement.ct_host(i) + 1));
-          digest.f64(pa.allocated_rate);
-          break;
-        }
-        departures.push({t + q.arrival.lifetime, q.arrival.app.name});
-      } else {
-        ++result.rejected;
-      }
-    }
-  };
-
-  // Event loop: arrivals, churn events, departures, and scheduler ticks
-  // merged in time order (ties: departure, churn, tick, arrival — frees
-  // capacity before spending it, deterministically).  The run ends once
-  // the stream is exhausted and the queue drained: sessions still open
-  // then ARE the final steady-state population the summary metrics
-  // (carried rate, energy) are computed over.
-  while (have_arrival || !pending.empty()) {
-    const double t_arrival = have_arrival ? upcoming.time : kInf;
-    const double t_depart =
-        departures.empty() ? kInf : departures.top().time;
-    const double t_churn =
-        churn_at < churn.events.size() ? churn.events[churn_at].time : kInf;
-    const double t_tick = pending.empty() && !have_arrival ? kInf : next_tick;
-    const double t = std::min({t_arrival, t_depart, t_churn, t_tick});
-    if (t == kInf) break;
-    now = t;
-
-    if (t_depart <= t) {
-      const Departure d = departures.top();
-      departures.pop();
-      if (scheduler.remove(d.name)) ++result.departed;
-      continue;
-    }
-    if (t_churn <= t) {
-      const sim::ChurnEvent& ev = churn.events[churn_at++];
-      if (ev.fail)
-        scheduler.mark_failed(ev.element);
-      else
-        scheduler.mark_recovered(ev.element);
-      ++result.churn_events;
-      scheduler.repair(ev.element);
-      ++result.repairs;
-      continue;
-    }
-    if (t_tick <= t) {
-      run_tick(t);
-      next_tick += options.tick_seconds;
-      continue;
-    }
-
-    // Arrival.
-    ++result.arrivals;
-    if (is_gr(upcoming.app)) ++result.gr_arrivals;
-    if (pending.size() >= options.queue_capacity) {
-      ++result.queue_full;
-    } else {
-      QueuedArrival q;
-      q.deadline = upcoming.time + upcoming.patience;
-      q.size = upcoming.app.graph->total_ct_requirement()[0];
-      q.bits = upcoming.app.graph->total_tt_bits();
-      q.arrival = std::move(upcoming);
-      pending.push_back(std::move(q));
-    }
-    have_arrival = gen.next(upcoming);
-
-    if (result.arrivals % epoch_arrivals == 0 &&
-        epochs_recorded < stats_epochs) {
-      record_epoch(scheduler, now, result.arrivals, result.admitted, result);
-      ++epochs_recorded;
-      if (check_every != 0 && epochs_recorded % check_every == 0)
-        check_invariants(scheduler, now, options, result);
-    }
+  sched_options.policy = policy::make_policy(options.policy);
+  const policy::SchedulingPolicy& pol = *sched_options.policy;
+  if (options.federated_shards > 0) {
+    federation::FederationOptions fed_options;
+    fed_options.shards = options.federated_shards;
+    fed_options.scheduler = sched_options;
+    FederatedBackend backend(net, fed_options);
+    return run_event_loop(net, options, pol, backend);
   }
-  record_epoch(scheduler, now, result.arrivals, result.admitted, result);
-  if (options.invariant_epochs != 0)
-    check_invariants(scheduler, now, options, result);
-
-  // ------------------------------------------------------------------
-  // Summary metrics.
-  result.admit_ratio =
-      result.arrivals == 0
-          ? 0.0
-          : static_cast<double>(result.admitted) / result.arrivals;
-  result.gr_admit_ratio =
-      result.gr_arrivals == 0
-          ? 1.0
-          : static_cast<double>(result.gr_admitted) / result.gr_arrivals;
-
-  EnergyModel energy(net);
-  for (const PlacedApp& pa : scheduler.placed()) {
-    (is_gr(pa.app) ? result.final_gr_rate : result.final_be_rate) +=
-        pa.allocated_rate;
-    for (std::size_t p = 0; p < pa.paths.size(); ++p) {
-      const double rate =
-          p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
-      result.energy_watts += energy.total_power(
-          *pa.app.graph, pa.paths[p].placement, rate);
-    }
-  }
-  const double carried = result.final_gr_rate + result.final_be_rate;
-  result.energy_efficiency =
-      result.energy_watts > 0 ? carried / result.energy_watts : 0.0;
-  result.submit_p50_us = latency.quantile(0.50);
-  result.submit_p99_us = latency.quantile(0.99);
-  result.decision_digest = digest.h;
-
-  // RSS drift: warmed-up quarter epoch → last (allocator pools, memo
-  // caches and the PF warm state settle during the first quarter).
-  if (result.epochs.size() >= 4) {
-    const double warm = result.epochs[result.epochs.size() / 4].rss_mb;
-    const double end = result.epochs.back().rss_mb;
-    if (warm > 0) result.rss_drift = (end - warm) / warm;
-  }
-  // Admitted-fraction drift between the two post-warmup windows.
-  if (warm_mid > warm_lo && result.arrivals > warm_mid) {
-    const double r1 = static_cast<double>(admitted_window_a) /
-                      static_cast<double>(warm_mid - warm_lo);
-    const double r2 = static_cast<double>(admitted_window_b) /
-                      static_cast<double>(result.arrivals - warm_mid);
-    if (r1 > 0) result.admit_rate_drift = std::abs(r2 - r1) / r1;
-  }
-  return result;
+  SchedulerBackend backend(net, sched_options);
+  return run_event_loop(net, options, pol, backend);
 }
 
 // ---------------------------------------------------------------------

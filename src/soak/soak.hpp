@@ -13,7 +13,9 @@
 /// Long-horizon soak engine and policy tournament (docs/policies.md).
 ///
 /// run_soak() replays one adversarial arrival stream (workload/arrivals)
-/// against a Scheduler carrying one scheduling-policy plugin, through a
+/// against a placement backend carrying one scheduling-policy plugin —
+/// one Scheduler, or a federation::FederatedService when
+/// `federated_shards` is set; both run the same event loop — through a
 /// bounded admission queue that models the batched admission daemon:
 /// arrivals queue up, a scheduler *tick* every `tick_seconds` admits up
 /// to `admit_per_tick` of them in the order the policy's pick_next()
@@ -24,8 +26,9 @@
 ///
 ///   * cumulative counters (admitted / rejected / reneged / queue-full),
 ///   * sampled epochs (carried rates, placed count, process RSS),
-///   * full invariant checks (check_scheduler_state) at sampled epochs —
-///     every violation string carries the seed and policy for replay,
+///   * full invariant checks at sampled epochs (check_scheduler_state,
+///     or the federation conservation check) — every violation string
+///     carries the seed and policy for replay,
 ///   * an order-sensitive FNV-1a digest of every admission decision, the
 ///     determinism witness of tests/test_policy.cpp,
 ///   * drift gates: RSS growth between the warmed-up quarter epoch and

@@ -38,10 +38,11 @@ TEST(DirectedLinks, CanTraverseRespectsDirection) {
 }
 
 TEST(DirectedLinks, WidestPathGoesTheLongWayAround) {
+  WidestPathWorkspace ws;
   const Network net = make_directed_ring();
   // 1 -> 0 cannot use d01 backwards: must go 1 -> 2 -> 0.
-  const auto r = widest_path(net, 1, 0,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  const auto r = widest_path_buffered(
+      net, 1, 0, [&](LinkId l) { return net.link(l).bandwidth; }, ws);
   ASSERT_TRUE(r.reachable);
   ASSERT_EQ(r.links.size(), 2u);
   EXPECT_EQ(r.links[0], 1);  // d12
@@ -57,11 +58,13 @@ TEST(DirectedLinks, ShortestHopPathRespectsDirection) {
 }
 
 TEST(DirectedLinks, UnreachableWhenAllArrowsPointWrong) {
+  WidestPathWorkspace ws;
   Network net(ResourceSchema::cpu_only());
   net.add_ncp("a", ResourceVector::scalar(1));
   net.add_ncp("b", ResourceVector::scalar(1));
   net.add_directed_link("ab", 0, 1, 10);
-  const auto r = widest_path(net, 1, 0, [](LinkId) { return 1.0; });
+  const auto r =
+      widest_path_buffered(net, 1, 0, [](LinkId) { return 1.0; }, ws);
   EXPECT_FALSE(r.reachable);
 }
 

@@ -18,10 +18,10 @@
 //  * registry round-trips and rejects unknown names;
 //  * each decision point's base rule and each plugin's override behave
 //    as documented on hand-built inputs;
-//  * DefaultPolicy is BIT-IDENTICAL to running with no policy installed
-//    — the pre-refactor hard-coded rules — across the checked-in `.scn`
-//    corpus and seeded random scenarios, through admission, failure,
-//    repair, recovery, and removal;
+//  * an unset policy resolves to DefaultPolicy: running with none
+//    installed is BIT-IDENTICAL to installing DefaultPolicy, across the
+//    checked-in `.scn` corpus and seeded random scenarios, through
+//    admission, failure, repair, recovery, and removal;
 //  * every policy is deterministic: identical soak inputs reproduce the
 //    identical decision digest.
 
@@ -90,12 +90,13 @@ TEST(PolicyDecisions, RepairOrderBaseRule) {
 }
 
 // ---------------------------------------------------------------------
-// DefaultPolicy == no-policy, bit for bit.
+// An unset policy resolves to DefaultPolicy at every decision point: the
+// two configurations reach the same state, bit for bit.
 
-void expect_identical_state(const Scheduler& legacy,
+void expect_identical_state(const Scheduler& unset,
                             const Scheduler& plugged,
                             const std::string& tag) {
-  const auto& a = legacy.placed();
+  const auto& a = unset.placed();
   const auto& b = plugged.placed();
   ASSERT_EQ(a.size(), b.size()) << tag;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -128,18 +129,18 @@ void expect_identical_state(const Scheduler& legacy,
 /// every phase.
 void run_equivalence(const workload::ScenarioFile& scenario,
                      const std::string& tag) {
-  SchedulerOptions legacy_options;  // policy == nullptr: pre-refactor path
+  SchedulerOptions unset_options;  // policy == nullptr
   SchedulerOptions plugged_options;
   plugged_options.policy = std::make_shared<policy::DefaultPolicy>();
-  Scheduler legacy(scenario.net, legacy_options);
+  Scheduler unset(scenario.net, unset_options);
   Scheduler plugged(scenario.net, plugged_options);
 
   for (const Application& app : scenario.apps) {
-    const AdmissionResult ra = legacy.submit(app);
+    const AdmissionResult ra = unset.submit(app);
     const AdmissionResult rb = plugged.submit(app);
     EXPECT_EQ(ra.admitted, rb.admitted) << tag << " app " << app.name;
   }
-  expect_identical_state(legacy, plugged, tag + " after admission");
+  expect_identical_state(unset, plugged, tag + " after admission");
 
   // Fail every other link, repairing after each — the repair-ordering
   // decision point — then recover and fail an NCP for the node path.
@@ -147,33 +148,33 @@ void run_equivalence(const workload::ScenarioFile& scenario,
   for (std::size_t l = 0; l < links; l += 2) {
     const ElementKey dead{ElementKey::Kind::kLink,
                           static_cast<std::int32_t>(l)};
-    legacy.mark_failed(dead);
+    unset.mark_failed(dead);
     plugged.mark_failed(dead);
-    legacy.repair(dead);
+    unset.repair(dead);
     plugged.repair(dead);
   }
-  expect_identical_state(legacy, plugged, tag + " after link churn");
+  expect_identical_state(unset, plugged, tag + " after link churn");
   for (std::size_t l = 0; l < links; l += 2) {
     const ElementKey dead{ElementKey::Kind::kLink,
                           static_cast<std::int32_t>(l)};
-    legacy.mark_recovered(dead);
+    unset.mark_recovered(dead);
     plugged.mark_recovered(dead);
   }
   if (scenario.net.ncp_count() > 1) {
     const ElementKey dead{ElementKey::Kind::kNcp, 1};
-    legacy.mark_failed(dead);
+    unset.mark_failed(dead);
     plugged.mark_failed(dead);
-    legacy.repair(dead);
+    unset.repair(dead);
     plugged.repair(dead);
-    expect_identical_state(legacy, plugged, tag + " after ncp failure");
+    expect_identical_state(unset, plugged, tag + " after ncp failure");
   }
 
   // Remove the first admitted app from both.
-  if (!legacy.placed().empty()) {
-    const std::string name = legacy.placed().front().app.name;
-    EXPECT_TRUE(legacy.remove(name));
+  if (!unset.placed().empty()) {
+    const std::string name = unset.placed().front().app.name;
+    EXPECT_TRUE(unset.remove(name));
     EXPECT_TRUE(plugged.remove(name));
-    expect_identical_state(legacy, plugged, tag + " after removal");
+    expect_identical_state(unset, plugged, tag + " after removal");
   }
 }
 

@@ -185,6 +185,11 @@ struct BadCase {
   const char* expect;  // substring of the error
 };
 
+// Without this gtest prints the raw bytes of the struct, whose pointers
+// change with address-space randomisation, so the listed test names would
+// differ on every run of the binary.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class ScenarioIoErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ScenarioIoErrors, RejectsMalformedInput) {

@@ -755,8 +755,8 @@ run_policy_trace(std::shared_ptr<const policy::SchedulingPolicy> policy) {
 }
 
 TEST(ServicePolicy, DefaultPolicyIsBitIdenticalToNoPolicy) {
-  // DefaultPolicy must reproduce the FIFO fast path bit for bit: same
-  // statuses, same rates (exact ==, no tolerance), same admission order.
+  // An unset policy is DefaultPolicy: same statuses, same rates (exact
+  // ==, no tolerance), same admission order.
   const auto fifo = run_policy_trace(nullptr);
   const auto dflt = run_policy_trace(std::make_shared<policy::DefaultPolicy>());
   EXPECT_EQ(fifo.first, dflt.first);

@@ -69,6 +69,39 @@ TEST(SparcleAssigner, StaysLocalWhenLinksAreTight) {
   EXPECT_NEAR(r.rate, 0.1, 1e-12);
 }
 
+TEST(SparcleAssigner, MostConstrainedPassCommitsWhenEveryGammaIsInfinite) {
+  // After `h` is committed, the only unplaced CT `m` needs no computation
+  // and its best host (NCP 0) already holds every relative, so its γ is
+  // +infinity.  The default policy still commits it (the first candidate)
+  // instead of ending the pass as if the network were disconnected.
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("weak", ResourceVector::scalar(10));
+  net.add_ncp("strong", ResourceVector::scalar(1000));
+  net.add_link("l", 0, 1, 1000);
+  TaskGraph g(ResourceSchema::cpu_only());
+  const CtId s = g.add_ct("s", ResourceVector::scalar(0));
+  const CtId t = g.add_ct("t", ResourceVector::scalar(0));
+  const CtId h = g.add_ct("h", ResourceVector::scalar(100));
+  const CtId m = g.add_ct("m", ResourceVector::scalar(0));
+  g.add_tt("sm", 10, s, m);
+  g.add_tt("mt", 1, m, t);
+  g.add_tt("sh", 10, s, h);
+  g.add_tt("ht", 1, h, t);
+  g.finalize();
+
+  AssignmentProblem p;
+  p.net = &net;
+  p.graph = &g;
+  p.capacities = CapacitySnapshot(net);
+  p.pinned = {{s, 0}, {t, 0}};
+  SparcleAssignerOptions options;  // policy unset
+  options.ranking = SparcleAssignerOptions::Ranking::kMostConstrainedFirst;
+  const AssignmentResult r = SparcleAssigner(options).assign(p);
+  ASSERT_TRUE(r.feasible) << r.message;
+  EXPECT_EQ(r.placement.ct_host(m), 0);
+  EXPECT_DOUBLE_EQ(r.rate, 10.0);
+}
+
 TEST(SparcleAssigner, ProducesValidPlacementOnScenarios) {
   for (int seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -52,9 +53,10 @@ double brute_force_width(const Network& net, NcpId from, NcpId to,
 }
 
 TEST(WidestPath, PicksTheWiderArm) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 0, 3,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  const auto r = widest_path_buffered(
+      net, 0, 3, [&](LinkId l) { return net.link(l).bandwidth; }, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_DOUBLE_EQ(r.width, 10.0);  // via 0-1-3: min(10,20)
   ASSERT_EQ(r.links.size(), 2u);
@@ -63,36 +65,43 @@ TEST(WidestPath, PicksTheWiderArm) {
 }
 
 TEST(WidestPath, SameEndpointsGiveInfiniteWidth) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 2, 2, [](LinkId) { return 1.0; });
+  const auto r =
+      widest_path_buffered(net, 2, 2, [](LinkId) { return 1.0; }, ws);
   EXPECT_TRUE(r.reachable);
   EXPECT_EQ(r.width, kInf);
   EXPECT_TRUE(r.links.empty());
 }
 
 TEST(WidestPath, UnreachableWhenCut) {
+  WidestPathWorkspace ws;
   Network net(ResourceSchema::cpu_only());
   net.add_ncp("a", ResourceVector::scalar(1));
   net.add_ncp("b", ResourceVector::scalar(1));
-  const auto r = widest_path(net, 0, 1, [](LinkId) { return 1.0; });
+  const auto r =
+      widest_path_buffered(net, 0, 1, [](LinkId) { return 1.0; }, ws);
   EXPECT_FALSE(r.reachable);
 }
 
 TEST(WidestPath, ZeroWeightLinksAreUnusable) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
   // Kill both arms except 0-2-3.
-  const auto r = widest_path(net, 0, 3, [&](LinkId l) {
+  const auto kill = [&](LinkId l) {
     return (l == 2 || l == 3) ? net.link(l).bandwidth : 0.0;
-  });
+  };
+  const auto r = widest_path_buffered(net, 0, 3, kill, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_DOUBLE_EQ(r.width, 5.0);
   ASSERT_EQ(r.links.size(), 2u);
 }
 
 TEST(WidestPath, ReturnedRouteIsContiguous) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 1, 2,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  const auto r = widest_path_buffered(
+      net, 1, 2, [&](LinkId l) { return net.link(l).bandwidth; }, ws);
   ASSERT_TRUE(r.reachable);
   NcpId at = 1;
   for (LinkId l : r.links) at = net.other_end(l, at);
@@ -100,9 +109,10 @@ TEST(WidestPath, ReturnedRouteIsContiguous) {
 }
 
 TEST(WidestPath, RouteWidthMatchesReportedWidth) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
   const auto weight = [&](LinkId l) { return net.link(l).bandwidth; };
-  const auto r = widest_path(net, 0, 3, weight);
+  const auto r = widest_path_buffered(net, 0, 3, weight, ws);
   ASSERT_TRUE(r.reachable);
   double w = kInf;
   for (LinkId l : r.links) w = std::min(w, weight(l));
@@ -110,12 +120,15 @@ TEST(WidestPath, RouteWidthMatchesReportedWidth) {
 }
 
 TEST(WidestPath, OutOfRangeEndpointThrows) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
-  EXPECT_THROW(widest_path(net, 0, 9, [](LinkId) { return 1.0; }),
-               std::invalid_argument);
+  EXPECT_THROW(
+      widest_path_buffered(net, 0, 9, [](LinkId) { return 1.0; }, ws),
+      std::invalid_argument);
 }
 
 TEST(BestTtPath, AccountsForExistingLoads) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
   const CapacitySnapshot cap(net);
   LoadMap load = LoadMap::zeros(net);
@@ -129,17 +142,18 @@ TEST(BestTtPath, AccountsForExistingLoads) {
   g.finalize();
   load.add_tt(g, 0, 0);
 
-  const auto r = best_tt_path(net, cap, load, 10.0, 0, 3);
+  const auto r = best_tt_path(net, cap, load, 10.0, 0, 3, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_DOUBLE_EQ(r.width, 0.5);
   EXPECT_EQ(r.links[0], 2);  // via NCP 2
 }
 
 TEST(BestTtPath, ZeroBitTtOnEmptyLinksIsFree) {
+  WidestPathWorkspace ws;
   const Network net = make_diamond_net();
   const CapacitySnapshot cap(net);
   const LoadMap load = LoadMap::zeros(net);
-  const auto r = best_tt_path(net, cap, load, 0.0, 0, 3);
+  const auto r = best_tt_path(net, cap, load, 0.0, 0, 3, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_EQ(r.width, kInf);
 }
@@ -149,13 +163,14 @@ TEST(BestTtPath, ZeroBitTtOnEmptyLinksIsFree) {
 class WidestPathRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(WidestPathRandom, MatchesBruteForceOnFullNetworks) {
+  WidestPathWorkspace ws;
   Rng rng(GetParam());
   const auto gen = workload::full_network(6, rng, workload::NetRanges{});
   const auto weight = [&](LinkId l) { return gen.net.link(l).bandwidth; };
   for (NcpId from = 0; from < 6; ++from)
     for (NcpId to = 0; to < 6; ++to) {
       if (from == to) continue;
-      const auto r = widest_path(gen.net, from, to, weight);
+      const auto r = widest_path_buffered(gen.net, from, to, weight, ws);
       ASSERT_TRUE(r.reachable);
       EXPECT_NEAR(r.width, brute_force_width(gen.net, from, to, weight),
                   1e-12);
@@ -163,13 +178,14 @@ TEST_P(WidestPathRandom, MatchesBruteForceOnFullNetworks) {
 }
 
 TEST_P(WidestPathRandom, MatchesBruteForceOnStarNetworks) {
+  WidestPathWorkspace ws;
   Rng rng(GetParam() + 1000);
   const auto gen = workload::star_network(7, rng, workload::NetRanges{});
   const auto weight = [&](LinkId l) { return gen.net.link(l).bandwidth; };
   for (NcpId from = 0; from < 7; ++from)
     for (NcpId to = 0; to < 7; ++to) {
       if (from == to) continue;
-      const auto r = widest_path(gen.net, from, to, weight);
+      const auto r = widest_path_buffered(gen.net, from, to, weight, ws);
       ASSERT_TRUE(r.reachable);
       EXPECT_NEAR(r.width, brute_force_width(gen.net, from, to, weight),
                   1e-12);
@@ -205,9 +221,10 @@ TEST(WidestPathWorkspace, ReusableAcrossCallsAndWeightFunctors) {
   const auto inv = widest_path_buffered(net, 0, 3, Inverted{&net}, ws);
   ASSERT_TRUE(inv.reachable);
   EXPECT_DOUBLE_EQ(inv.width, 90.0);  // 0-1-2-3: min(90, 99, 95)
-  const auto again = widest_path(net, 0, 3, [&](LinkId l) {
-    return 100.0 - net.link(l).bandwidth;
-  });
+  WidestPathWorkspace fresh;
+  const auto again = widest_path_buffered(
+      net, 0, 3, [&](LinkId l) { return 100.0 - net.link(l).bandwidth; },
+      fresh);
   EXPECT_EQ(inv.links, again.links);
 
   // Same workspace on a *different, larger* network.
@@ -275,9 +292,10 @@ TEST(ShortestHopPath, SkipsDeadLinks) {
   only_dead.add_ncp("b", ResourceVector::scalar(1));
   only_dead.add_link("dead", 0, 1, dead);
   EXPECT_FALSE(shortest_hop_path(only_dead, 0, 1).reachable);
-  EXPECT_FALSE(widest_path(only_dead, 0, 1, [&](LinkId l) {
-                 return only_dead.link(l).bandwidth;
-               }).reachable);
+  WidestPathWorkspace ws;
+  const auto bandwidth = [&](LinkId l) { return only_dead.link(l).bandwidth; };
+  EXPECT_FALSE(
+      widest_path_buffered(only_dead, 0, 1, bandwidth, ws).reachable);
 }
 
 }  // namespace

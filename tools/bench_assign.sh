@@ -15,43 +15,27 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LABEL="${1:?usage: tools/bench_assign.sh <label> [build-dir]}"
-BUILD="${2:-build}"
-SCRATCH="$(mktemp /tmp/sparcle-bench-XXXX.json)"
-# Clean up the scratch file on any exit; on SIGINT/SIGTERM re-raise after
-# cleanup so callers still observe a signal death, not a plain exit.
-trap 'rm -f "${SCRATCH}"' EXIT
-trap 'exit 130' INT
-trap 'exit 143' TERM
+source tools/bench_lib.sh
+bench_setup tools/bench_assign.sh "$@"
 
-cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
-      --target bench_micro_scaling >/dev/null
-
-SPARCLE_BENCH_JSON="${SCRATCH}" \
-  "./${BUILD}/bench/bench_micro_scaling" \
+bench_run bench_micro_scaling \
   --benchmark_filter='BM_SparcleAssign|BM_WidestPath' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_BENCH_TOLERANCE:-0.03}" <<'EOF'
-import json, sys, pathlib
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "tools")
+from bench_record import append_entry
 raw = json.load(open(sys.argv[1]))
 tolerance = float(sys.argv[3])
-entry = {"label": sys.argv[2], "time_unit": "ns", "benchmarks": {}}
-for b in raw.get("benchmarks", []):
-    if b.get("aggregate_name") != "mean":
-        continue
-    name = b["run_name"]
-    entry["benchmarks"][name] = round(b["real_time"], 1)
-path = pathlib.Path("BENCH_assign.json")
-doc = json.loads(path.read_text()) if path.exists() else {
-    "description": "Assignment hot-path trajectory "
-                   "(mean real time, ns; see docs/perf.md)",
-    "trajectory": [],
-}
-prev = doc["trajectory"][-1] if doc["trajectory"] else None
-doc["trajectory"].append(entry)
-path.write_text(json.dumps(doc, indent=2) + "\n")
-print(f"appended '{sys.argv[2]}' to {path}")
+means = {b["run_name"]: round(b["real_time"], 1)
+         for b in raw.get("benchmarks", [])
+         if b.get("aggregate_name") == "mean"}
+doc, entry, prev = append_entry(
+    "BENCH_assign.json", sys.argv[2], means, time_unit="ns",
+    description="Assignment hot-path trajectory "
+                "(mean real time, ns; see docs/perf.md)")
 
 GATE = "BM_SparcleAssignNetworkSize/32"
 if prev and GATE in prev["benchmarks"] and GATE in entry["benchmarks"]:

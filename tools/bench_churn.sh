@@ -15,33 +15,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LABEL="${1:?usage: tools/bench_churn.sh <label> [build-dir]}"
-BUILD="${2:-build}"
-SCRATCH="$(mktemp /tmp/sparcle-bench-XXXX.json)"
-trap 'rm -f "${SCRATCH}"' EXIT
-trap 'exit 130' INT
-trap 'exit 143' TERM
+source tools/bench_lib.sh
+bench_setup tools/bench_churn.sh "$@"
 
-cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
-      --target bench_churn >/dev/null
-
-SPARCLE_BENCH_JSON="${SCRATCH}" "./${BUILD}/bench/bench_churn"
+bench_run bench_churn
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_CHURN_TAIL_RATIO:-20}" <<'EOF'
-import json, sys, pathlib
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "tools")
+from bench_record import append_entry
 raw = json.load(open(sys.argv[1]))
 max_ratio = float(sys.argv[3])
-entry = {"label": sys.argv[2], "time_unit": "us",
-         "benchmarks": raw["benchmarks"]}
-path = pathlib.Path("BENCH_churn.json")
-doc = json.loads(path.read_text()) if path.exists() else {
-    "description": "Churn replay: incremental repair() vs full "
-                   "rebalance() (bench_churn part 2; see docs/churn.md)",
-    "trajectory": [],
-}
-doc["trajectory"].append(entry)
-path.write_text(json.dumps(doc, indent=1) + "\n")
-print(f"appended '{sys.argv[2]}' to {path}")
+doc, entry, prev = append_entry(
+    "BENCH_churn.json", sys.argv[2], raw["benchmarks"], time_unit="us",
+    indent=1,
+    description="Churn replay: incremental repair() vs full "
+                "rebalance() (bench_churn part 2; see docs/churn.md)")
 
 P50 = "repair_active_p50_us/incremental"
 P99 = "repair_active_p99_us/incremental"

@@ -25,39 +25,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LABEL="${1:?usage: tools/bench_federation.sh <label> [build-dir]}"
-BUILD="${2:-build}"
-SCRATCH="$(mktemp /tmp/sparcle-bench-XXXX.json)"
-trap 'rm -f "${SCRATCH}"' EXIT
-trap 'exit 130' INT
-trap 'exit 143' TERM
+source tools/bench_lib.sh
+bench_setup tools/bench_federation.sh "$@"
 
-cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
-      --target bench_federation >/dev/null
-
-SPARCLE_BENCH_JSON="${SCRATCH}" "./${BUILD}/bench/bench_federation"
+bench_run bench_federation
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_FEDERATION_MIN_SPEEDUP:-5.0}" \
     "${SPARCLE_BENCH_TOLERANCE:-0.05}" <<'EOF'
-import json, sys, pathlib
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "tools")
+from bench_record import append_entry
 raw = json.load(open(sys.argv[1]))
 min_speedup = float(sys.argv[3])
 tolerance = float(sys.argv[4])
-entry = {"label": sys.argv[2], "benchmarks": dict(raw["benchmarks"])}
-path = pathlib.Path("BENCH_federation.json")
-doc = json.loads(path.read_text()) if path.exists() else {
-    "description": "Federated placement scaling: aggregate admissions/sec "
-                   "on the 2048-NCP 32-region soak site vs regional shard "
-                   "count (bench_federation; see docs/federation.md). "
-                   "shards=1 is the single global scheduler; every epoch "
-                   "passes the per-shard invariant checker plus the "
-                   "federation conservation check with the timer stopped.",
-    "trajectory": [],
-}
-prev = doc["trajectory"][-1] if doc["trajectory"] else None
-doc["trajectory"].append(entry)
-path.write_text(json.dumps(doc, indent=2) + "\n")
-print(f"appended '{sys.argv[2]}' to {path}")
+doc, entry, prev = append_entry(
+    "BENCH_federation.json", sys.argv[2], raw["benchmarks"],
+    description="Federated placement scaling: aggregate admissions/sec "
+                "on the 2048-NCP 32-region soak site vs regional shard "
+                "count (bench_federation; see docs/federation.md). "
+                "shards=1 is the single global scheduler; every epoch "
+                "passes the per-shard invariant checker plus the "
+                "federation conservation check with the timer stopped.")
 
 bench = entry["benchmarks"]
 

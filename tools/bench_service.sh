@@ -36,44 +36,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-LABEL="${1:?usage: tools/bench_service.sh <label> [build-dir]}"
-BUILD="${2:-build}"
-SCRATCH="$(mktemp /tmp/sparcle-bench-XXXX.json)"
-# Clean up the scratch file on any exit; on SIGINT/SIGTERM re-raise after
-# cleanup so callers still observe a signal death, not a plain exit.
-trap 'rm -f "${SCRATCH}"' EXIT
-trap 'exit 130' INT
-trap 'exit 143' TERM
+source tools/bench_lib.sh
+bench_setup tools/bench_service.sh "$@"
 
-cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
-      --target bench_service >/dev/null
-
-SPARCLE_BENCH_JSON="${SCRATCH}" "./${BUILD}/bench/bench_service"
+bench_run bench_service
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_BENCH_TOLERANCE:-0.03}" \
     "${SPARCLE_SERVICE_MIN_SPEEDUP:-2.0}" \
     "${SPARCLE_SERVICE_P50_BUDGET:-1.25}" \
     "${SPARCLE_SERVICE_SCALE_P99_MULT:-512}" <<'EOF'
-import json, sys, pathlib
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "tools")
+from bench_record import append_entry
 raw = json.load(open(sys.argv[1]))
 tolerance = float(sys.argv[3])
 min_speedup = float(sys.argv[4])
 p50_budget = float(sys.argv[5])
 scale_mult = float(sys.argv[6])
-entry = {"label": sys.argv[2], "time_unit": "us",
-         "benchmarks": dict(raw["benchmarks"])}
-path = pathlib.Path("BENCH_service.json")
-doc = json.loads(path.read_text()) if path.exists() else {
-    "description": "Placement-service load generator: admissions/sec and "
-                   "enqueue-to-reply latency on the 64-NCP site, 192 "
-                   "arrivals, vs scheduler batch size and client threads "
-                   "(bench_service; see docs/service.md)",
-    "trajectory": [],
-}
-prev = doc["trajectory"][-1] if doc["trajectory"] else None
-doc["trajectory"].append(entry)
-path.write_text(json.dumps(doc, indent=2) + "\n")
-print(f"appended '{sys.argv[2]}' to {path}")
+doc, entry, prev = append_entry(
+    "BENCH_service.json", sys.argv[2], raw["benchmarks"], time_unit="us",
+    description="Placement-service load generator: admissions/sec and "
+                "enqueue-to-reply latency on the 64-NCP site, 192 "
+                "arrivals, vs scheduler batch size and client threads "
+                "(bench_service; see docs/service.md)")
 
 GATE = "admissions_per_s/batch16"
 if prev and GATE in prev["benchmarks"] and GATE in entry["benchmarks"]:
